@@ -323,7 +323,7 @@ def run_parallel_eval_bench(
 
 
 # ---------------------------------------------------------------------------
-# Solver-backend benchmark (BENCH_solver_backends.json)
+# Pressure-shift benchmark (BENCH_pressure_shift.json)
 # ---------------------------------------------------------------------------
 
 
@@ -340,207 +340,88 @@ def _latency_summary(samples: List[float]) -> dict:
     }
 
 
-def run_solver_backends_bench(
+def run_pressure_shift_bench(
     grid_size: int = 21,
-    n_batches: int = 16,
-    batch_size: int = 4,
+    n_batches: int = 16,  # accepted for CLI uniformity
+    batch_size: int = 4,  # accepted for CLI uniformity
     n_workers: int = 4,  # accepted for CLI uniformity; single-process bench
     case_number: int = 1,
-    seed: int = 0,
 ) -> dict:
-    """Benchmark the pluggable solver backends and the incremental paths.
+    """Benchmark the thermal pressure-shift (Woodbury) path.
 
-    Three sections, all on the bundled medium case (case ``case_number`` at
-    ``grid_size``):
-
-    * **backends** -- factorize / solve / multi-RHS latency per available
-      registry backend on the 2RM thermal operator, with differential
-      parity against a fresh scipy-splu reference.
-    * **sa_moves** -- the tentpole's acceptance workload: a drifting
-      sequence of local SA moves (a few perturbed cell conductances each)
-      solved via :class:`~repro.linalg.IncrementalFactorization` Woodbury
-      updates vs a fresh registry factorization per move, on identical
-      operators, with per-move parity.  ``n_batches * batch_size`` scales
-      the move count.
-    * **pressure_sweep** -- the staged flow's inner loop: one
-      :class:`~repro.thermal.common.LinearThermalSystem` probed across a
-      drifting pressure schedule with the incremental pressure-shift path
-      vs ``exact=True`` fresh factorizations.
+    The staged flow's inner loop on case ``case_number`` at ``grid_size``:
+    one :class:`~repro.thermal.common.LinearThermalSystem` probed across a
+    drifting pressure schedule through the incremental pressure-shift path
+    (production settings: :data:`~repro.thermal.common.
+    SHIFT_RANK_THRESHOLD`), against ``exact=True`` solves that pay a fresh
+    factorization per distinct pressure, with per-probe parity.  The shift
+    path only engages while the advected-row count fits the threshold, so
+    the default grid is the 21x21 the quick design flow runs at.
     """
-    from scipy.sparse import coo_matrix
-
-    from repro.linalg import (
-        IncrementalFactorization,
-        LinalgConfig,
-        available_backends,
-        factorize,
-        get_backend,
-        use_config,
-    )
     from repro.materials import WATER
+    from repro.thermal.common import SHIFT_RANK_THRESHOLD
     from repro.thermal.rc2 import RC2Simulator
 
-    rng = np.random.default_rng(seed)
-    case = load_case(case_number, grid_size=grid_size)
-    stack = case.base_stack()
-    simulator = RC2Simulator(stack, WATER, tile_size=4)
+    stack = load_case(case_number, grid_size=grid_size).base_stack()
     base_pressure = 2e4
-    matrix = simulator.system.system_matrix(base_pressure).tocsc()
-    n = matrix.shape[0]
-    rhs = simulator.system.rhs(base_pressure)
-
-    # -- backend sweep --------------------------------------------------
-    reference = factorize(matrix, config=None).solve(rhs)
-    ref_scale = max(float(np.max(np.abs(reference))), 1.0)
-    block = rng.uniform(-1.0, 1.0, size=(n, 8))
-    backends = {}
-    for name in available_backends():
-        backend = get_backend(name)
-        if backend.spd_only:
-            continue  # the 2RM operator is unsymmetric (advection)
-        fact_times, solve_times, many_times = [], [], []
-        factor = None
-        for _ in range(15):
-            start = time.perf_counter()
-            factor = backend.factorize(matrix)
-            fact_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            solution = factor.solve(rhs)
-            solve_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            factor.solve_many(block)
-            many_times.append(time.perf_counter() - start)
-        backends[name] = {
-            "factorize": _latency_summary(fact_times),
-            "solve": _latency_summary(solve_times),
-            "solve_many": _latency_summary(many_times),
-            "parity_max_err": float(np.max(np.abs(solution - reference)))
-            / ref_scale,
-        }
-
-    # -- SA-move loop: incremental Woodbury vs fresh factorization ------
-    n_moves = max(120, n_batches * batch_size)
-    coo = matrix.tocoo()
-    off_diag = (coo.row < coo.col) & (coo.data != 0.0)
-    pair_pool = np.stack([coo.row[off_diag], coo.col[off_diag]], axis=1)
-    pair_mags = np.abs(coo.data[off_diag])
-
-    # Rank-threshold tuning (docs/SOLVER_CACHES.md): with rank-4 moves the
-    # per-solve correction cost grows with the accumulated rank, so a lower
-    # threshold trades infrequent cheap rebuilds for uniformly cheap solves.
-    moves_rank_threshold = 32
-    inc = IncrementalFactorization(
-        matrix, config=LinalgConfig(rank_threshold=moves_rank_threshold)
-    )
-    current = matrix.copy()
-    inc_times, fresh_times, move_parity = [], [], 0.0
-    for _ in range(n_moves):
-        picks = rng.integers(0, pair_pool.shape[0], size=4)
-        pairs = pair_pool[picks]
-        deltas = pair_mags[picks] * rng.uniform(-0.1, 0.1, size=4)
-
-        start = time.perf_counter()
-        inc.update_pairs(pairs, deltas)
-        x_inc = inc.solve(rhs)
-        inc_times.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        i, j = pairs[:, 0], pairs[:, 1]
-        delta = coo_matrix(
-            (
-                np.concatenate([deltas, deltas, -deltas, -deltas]),
-                (
-                    np.concatenate([i, j, i, j]),
-                    np.concatenate([i, j, j, i]),
-                ),
-            ),
-            shape=(n, n),
-        )
-        current = (current + delta).tocsc()
-        x_fresh = factorize(current).solve(rhs)
-        fresh_times.append(time.perf_counter() - start)
-
-        scale = max(float(np.max(np.abs(x_fresh))), 1.0)
-        move_parity = max(
-            move_parity, float(np.max(np.abs(x_inc - x_fresh))) / scale
-        )
-    sa_moves = {
-        "n_moves": n_moves,
-        "rank_per_move": 4,
-        "rank_threshold": moves_rank_threshold,
-        "incremental": _latency_summary(inc_times),
-        "fresh": _latency_summary(fresh_times),
-        "speedup_p50": _percentile_ms(fresh_times, 50)
-        / _percentile_ms(inc_times, 50),
-        "rebuilds": inc.n_rebuilds,
-        "parity_max_err": move_parity,
-    }
-
-    # -- pressure sweep: shift path vs exact refactorization ------------
     n_probes = 60
     pressures = base_pressure * (
         1.0 + 0.3 * np.sin(np.linspace(0.0, 9.0, n_probes))
     )
-    # The shift rank equals the advected-row count, which grows with the
-    # grid; raise the threshold so the medium case stays on the shift path
-    # (the tuning recipe documented in docs/SOLVER_CACHES.md).
-    sweep_rank_threshold = 512
-    with use_config(rank_threshold=sweep_rank_threshold):
-        shift_system = RC2Simulator(stack, WATER, tile_size=4).system
-        shift_system.solve(base_pressure, exact=True)  # prime the base factor
-        shift_times = []
-        shift_results = []
-        for p in pressures:
-            start = time.perf_counter()
-            shift_results.append(shift_system.solve(float(p)))
-            shift_times.append(time.perf_counter() - start)
+
+    profiling.reset()
+    shift_system = RC2Simulator(stack, WATER, tile_size=4).system
+    shift_system.solve(base_pressure, exact=True)  # prime the base factor
+    shift_times = []
+    shift_results = []
+    for p in pressures:
+        start = time.perf_counter()
+        shift_results.append(shift_system.solve(float(p)))
+        shift_times.append(time.perf_counter() - start)
+    counters = profiling.snapshot()["counters"]
+    advection = shift_system.advection.tocoo()
+    advected_rows = int(np.unique(advection.row[advection.data != 0.0]).size)
 
     exact_system = RC2Simulator(stack, WATER, tile_size=4).system
     exact_times = []
-    sweep_parity = 0.0
-    with use_config(incremental=False):
-        # Every probe pressure is distinct, so each exact solve pays a full
-        # factorization (the per-pressure LU cache never hits).
-        for p, probe in zip(pressures, shift_results):
-            start = time.perf_counter()
-            exact = exact_system.solve(float(p))
-            exact_times.append(time.perf_counter() - start)
-            scale = max(float(np.max(np.abs(exact))), 1.0)
-            sweep_parity = max(
-                sweep_parity, float(np.max(np.abs(probe - exact))) / scale
-            )
+    parity = 0.0
+    # Every probe pressure is distinct, so each exact solve pays a full
+    # factorization (the per-pressure LU cache never hits).
+    for p, probe in zip(pressures, shift_results):
+        start = time.perf_counter()
+        exact = exact_system.solve(float(p), exact=True)
+        exact_times.append(time.perf_counter() - start)
+        scale = max(float(np.max(np.abs(exact))), 1.0)
+        parity = max(parity, float(np.max(np.abs(probe - exact))) / scale)
+
     pressure_sweep = {
         "n_probes": n_probes,
-        "rank_threshold": sweep_rank_threshold,
+        "rank_threshold": SHIFT_RANK_THRESHOLD,
+        "advected_rows": advected_rows,
+        "incremental_solves": counters.get("linalg.incremental_solves", 0),
+        "shift_bases": counters.get("linalg.shift_bases", 0),
         "incremental": _latency_summary(shift_times),
         "exact": _latency_summary(exact_times),
         "speedup_p50": _percentile_ms(exact_times, 50)
         / _percentile_ms(shift_times, 50),
-        "parity_max_err": sweep_parity,
+        "parity_max_err": parity,
     }
-
     return {
-        "benchmark": "solver_backends",
+        "benchmark": "pressure_shift",
         "config": {
             "case_number": case_number,
             "grid_size": grid_size,
-            "n_nodes": n,
-            "n_moves": n_moves,
+            "n_nodes": shift_system.n_nodes,
             "n_probes": n_probes,
             "base_pressure": base_pressure,
-            "seed": seed,
-            "available_backends": available_backends(),
         },
-        "backends": backends,
-        "sa_moves": sa_moves,
         "pressure_sweep": pressure_sweep,
         "summary": (
-            f"{n} nodes; SA moves p50 incremental "
-            f"{sa_moves['incremental']['p50_ms']:.3f} ms vs fresh "
-            f"{sa_moves['fresh']['p50_ms']:.3f} ms "
-            f"({sa_moves['speedup_p50']:.1f}x); pressure sweep "
-            f"{pressure_sweep['speedup_p50']:.1f}x; parity "
-            f"{max(sa_moves['parity_max_err'], pressure_sweep['parity_max_err']):.2e}"
+            f"{shift_system.n_nodes} nodes, {advected_rows} advected rows "
+            f"(threshold {SHIFT_RANK_THRESHOLD}); pressure sweep p50 "
+            f"incremental {pressure_sweep['incremental']['p50_ms']:.3f} ms vs "
+            f"exact {pressure_sweep['exact']['p50_ms']:.3f} ms "
+            f"({pressure_sweep['speedup_p50']:.1f}x); parity {parity:.2e}"
         ),
     }
 
@@ -795,8 +676,8 @@ def write_bench_json(name: str, payload: dict, out_dir: Optional[Path] = None) -
 _BENCHES = {
     "parallel_eval": run_parallel_eval_bench,
     "portfolio": run_portfolio_bench,
+    "pressure_shift": run_pressure_shift_bench,
     "service_overhead": run_service_overhead_bench,
-    "solver_backends": run_solver_backends_bench,
 }
 
 

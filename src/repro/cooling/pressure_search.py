@@ -312,22 +312,24 @@ def min_pressure_for_peak(
             evaluations=probe.evaluations,
         )
     lo = p_lo
-    hi = max(2.0 * p_lo, 2.0 * PRESSURE_MIN)
+    # Doubling bracket, clamped to p_max: a crossing between the last
+    # doubling and p_max is bisected like any other, not rounded up to p_max.
+    hi = min(max(2.0 * p_lo, 2.0 * PRESSURE_MIN), p_max)
     while probe(hi) > t_max_star:
+        if hi >= p_max:
+            return PressureSearchResult(
+                p_sys=hi,
+                value=probe(hi),
+                feasible=False,
+                at_minimum=False,
+                evaluations=probe.evaluations,
+            )
         if probe.evaluations > max_evaluations:
             raise SearchError(
                 f"peak-temperature search exceeded {max_evaluations} evaluations"
             )
         lo = hi
-        hi *= 2.0
-        if hi > p_max:
-            return PressureSearchResult(
-                p_sys=p_max,
-                value=probe(p_max),
-                feasible=probe(p_max) <= t_max_star,
-                at_minimum=False,
-                evaluations=probe.evaluations,
-            )
+        hi = min(2.0 * hi, p_max)
     while abs(1.0 - lo / hi) > rtol:
         if probe.evaluations > max_evaluations:
             raise SearchError(

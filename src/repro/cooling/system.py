@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Set, Union
 
-from .. import linalg, profiling
+from .. import profiling
 from ..constants import (
     EDGE_CONDUCTANCE_FACTOR,
     INLET_TEMPERATURE,
@@ -135,7 +135,7 @@ class CoolingSystem:
         ``exact=True`` guarantees the returned result came from an exact
         factorization: a cached entry produced by the incremental solver
         path is recomputed exactly (and replaces the approximate entry), so
-        final scores never depend on whether incremental updates were on.
+        final scores never depend on which path answered a search probe.
         The recompute does not count as a new simulation -- it revisits a
         pressure already paid for.
         """
@@ -151,7 +151,7 @@ class CoolingSystem:
         else:
             profiling.increment("cooling.exact_recomputes")
         self._cache[key] = result
-        if exact or not linalg.current_config().incremental:
+        if exact:
             self._exact_keys.add(key)
         return result
 

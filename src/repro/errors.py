@@ -45,9 +45,8 @@ class ThermalError(ReproError):
 
 
 class LinalgError(ReproError):
-    """Raised by :mod:`repro.linalg`: a singular or failed factorization, an
-    unknown/unavailable solver backend, or a low-rank update that left the
-    system numerically unsolvable.  Callers translate it into their own
+    """Raised by :mod:`repro.linalg`: a singular or failed factorization, or
+    non-square or non-sparse input.  Callers translate it into their own
     domain error (:class:`FlowError` / :class:`ThermalError`)."""
 
 

@@ -265,13 +265,11 @@ class FlowField:
         rhs = np.zeros(self.n)
         np.add.at(rhs, self.inlet_idx, self.g_edge)  # P_in = 1 Pa
         matrix = corrupt(SITE_FLOW_MATRIX, self._matrix)
-        # The pressure system is a grounded conductance Laplacian (SPD), so
-        # the registry may hand it to a Cholesky backend.  Backends promote
-        # every failure shape -- singular RuntimeError, near-singular
-        # MatrixRankWarning, umfpack ValueError/ArithmeticError -- to a
+        # factorize promotes every failure shape -- singular RuntimeError,
+        # near-singular MatrixRankWarning, ValueError/ArithmeticError -- to a
         # typed LinalgError, translated here to the domain FlowError.
         try:
-            factor = linalg.factorize(matrix, spd=True)
+            factor = linalg.factorize(matrix)
             pressures = factor.solve(rhs)
         except LinalgError as exc:
             raise FlowError(

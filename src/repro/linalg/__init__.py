@@ -1,72 +1,16 @@
-"""Pluggable sparse linear algebra: one interface, selectable backends,
-incremental low-rank updates.
+"""Sparse linear algebra: one SuperLU factorization front door.
 
-Public surface:
-
-* :func:`~repro.linalg.registry.factorize` -- the single sanctioned entry
-  point for sparse factorizations (lint rule R5 flags raw ``splu`` calls
-  everywhere else).  Selects scipy SuperLU, UMFPACK, or CHOLMOD per problem
-  size/availability; optional backends degrade gracefully to SuperLU.
-* :class:`~repro.linalg.incremental.IncrementalFactorization` -- Woodbury
-  low-rank updates over a cached base factorization, with an exact
-  refactorization handoff past a configurable rank threshold or update
-  budget.
-* :class:`~repro.linalg.config.LinalgConfig` -- the picklable process-wide
-  configuration (backend override, incremental on/off, thresholds), shipped
-  to evaluation-pool workers exactly like the fault plan and telemetry
-  config.
-
-See ``docs/SOLVER_CACHES.md`` for the registry/update semantics and
-rank-threshold tuning guidance.
+:func:`~repro.linalg.registry.factorize` is the single sanctioned entry
+point for sparse factorizations (lint rule R5 flags raw ``splu`` calls
+everywhere else); it returns a :class:`~repro.linalg.registry.
+Factorization` answering single and multi-RHS solves.  The Woodbury
+pressure-shift path that reuses one factorization across pressure probes
+lives with the thermal systems (:mod:`repro.thermal.common`).  See
+``docs/SOLVER_CACHES.md``.
 """
 
 from __future__ import annotations
 
-from .backend import Factorization, SolverBackend
-from .backends import CholmodBackend, ScipySuperLUBackend, UmfpackBackend
-from .config import (
-    DEFAULT_RANK_THRESHOLD,
-    DEFAULT_RESIDUAL_RTOL,
-    DEFAULT_UPDATE_BUDGET,
-    LinalgConfig,
-    current_config,
-    reset_config,
-    set_config,
-    use_config,
-)
-from .incremental import IncrementalFactorization
-from .registry import (
-    BACKEND_ENV_VAR,
-    UMFPACK_MIN_NODES,
-    available_backends,
-    factorize,
-    get_backend,
-    register_backend,
-    registered_backends,
-    select_backend,
-)
+from .registry import Factorization, factorize
 
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "CholmodBackend",
-    "DEFAULT_RANK_THRESHOLD",
-    "DEFAULT_RESIDUAL_RTOL",
-    "DEFAULT_UPDATE_BUDGET",
-    "Factorization",
-    "IncrementalFactorization",
-    "LinalgConfig",
-    "ScipySuperLUBackend",
-    "SolverBackend",
-    "UmfpackBackend",
-    "UMFPACK_MIN_NODES",
-    "available_backends",
-    "current_config",
-    "factorize",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
-    "reset_config",
-    "select_backend",
-    "set_config",
-    "use_config",
-]
+__all__ = ["Factorization", "factorize"]

@@ -1,133 +1,80 @@
-"""Backend selection and the one sanctioned factorization entry point.
+"""The one sparse factorization entry point: scipy SuperLU.
 
 :func:`factorize` is how the rest of the repo factorizes a sparse system
 (lint rule R5 flags raw ``splu``/``factorized`` calls outside
-``repro.linalg``).  Selection order:
+``repro.linalg``).  It keeps its historical home in this module because
+per-layer tracing wraps ``repro.linalg.registry.factorize`` by name.
 
-1. An explicit backend -- ``LinalgConfig.backend`` or the
-   ``REPRO_SOLVER_BACKEND`` environment variable -- wins; asking for an
-   unknown or unavailable backend is a hard :class:`~repro.errors.
-   LinalgError` (a forced backend silently falling back would invalidate
-   benchmark comparisons).
-2. Otherwise the registry auto-selects per problem shape: CHOLMOD for
-   systems declared SPD, UMFPACK for large general systems (``n >=``
-   :data:`UMFPACK_MIN_NODES`), scipy SuperLU for everything else.  Optional
-   backends that are not importable are skipped gracefully -- on a
-   scipy-only install every selection lands on ``scipy-splu``.
+Error contract: no SuperLU exception escapes.  An exactly singular system
+(``RuntimeError``), a near-singular one (``MatrixRankWarning``), the
+``ValueError``/``ArithmeticError`` shapes of other SuperLU failures, and
+non-square or non-sparse input all surface as
+:class:`~repro.errors.LinalgError`; callers translate that into their
+domain error (``FlowError``/``ThermalError``).
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
-from typing import List, Optional
+import warnings
+from typing import Any
 
-from scipy.sparse import csc_matrix
+import numpy as np
+from scipy.sparse.linalg import MatrixRankWarning, splu
 
 from .. import profiling, telemetry
 from ..errors import LinalgError
-from .backend import Factorization, SolverBackend
-from .backends import CholmodBackend, ScipySuperLUBackend, UmfpackBackend
-from .config import LinalgConfig, current_config
-
-#: Environment override consulted when the config does not force a backend.
-BACKEND_ENV_VAR = "REPRO_SOLVER_BACKEND"
-
-#: Smallest system for which UMFPACK is auto-preferred over SuperLU: below
-#: this, factorization is cheap enough that backend choice is noise.
-UMFPACK_MIN_NODES = 2000  #: [unit: 1]
-
-_REGISTRY: "OrderedDict[str, SolverBackend]" = OrderedDict()
 
 
-def register_backend(backend: SolverBackend) -> None:
-    """Add a backend to the registry (last registration of a name wins)."""
-    if not backend.name or backend.name == "abstract":
-        raise LinalgError("backend must define a concrete name")
-    _REGISTRY[backend.name] = backend
+class Factorization:
+    """A reusable SuperLU factorization of one sparse system matrix.
+
+    Attributes:
+        n: System dimension.
+    """
+
+    def __init__(self, lu: Any, n: int) -> None:
+        self._lu = lu
+        self.n = n
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``A x = rhs`` for one right-hand side, shape ``(n,)``."""
+        return np.asarray(self._lu.solve(np.asarray(rhs, dtype=float)))
+
+    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for a block of right-hand sides, shape ``(n, k)``."""
+        # SuperLU's solve natively accepts an (n, k) block.  Not routed
+        # through ``self.solve``: per-layer tracing wraps both methods on
+        # each instance, and one call must make one span.
+        return np.asarray(self._lu.solve(np.asarray(rhs, dtype=float)))
 
 
-def registered_backends() -> List[str]:
-    """Names of every registered backend, available or not."""
-    return list(_REGISTRY)
-
-
-def available_backends() -> List[str]:
-    """Names of the backends whose dependencies import in this process."""
-    return [name for name, b in _REGISTRY.items() if b.available()]
-
-
-def get_backend(name: str) -> SolverBackend:
-    """Look up a backend by name; it must exist *and* be available."""
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise LinalgError(
-            f"unknown solver backend {name!r}; registered: "
-            f"{registered_backends()}"
-        )
-    if not backend.available():
-        raise LinalgError(
-            f"solver backend {name!r} is registered but its optional "
-            f"dependency is not installed; available: {available_backends()}"
-        )
-    return backend
-
-
-def select_backend(
-    n: int,
-    spd: bool = False,
-    config: Optional[LinalgConfig] = None,
-) -> SolverBackend:
-    """The backend :func:`factorize` would use for an ``n x n`` system."""
-    config = current_config() if config is None else config
-    forced = config.backend or os.environ.get(BACKEND_ENV_VAR) or None
-    if forced:
-        backend = get_backend(forced)
-        if backend.spd_only and not spd:
-            raise LinalgError(
-                f"backend {forced!r} only handles SPD systems; this system "
-                f"was not declared SPD"
-            )
-        return backend
-    if spd:
-        cholmod = _REGISTRY.get("cholmod")
-        if cholmod is not None and cholmod.available():
-            return cholmod
-    if n >= UMFPACK_MIN_NODES:
-        umf = _REGISTRY.get("umfpack")
-        if umf is not None and umf.available():
-            return umf
-    return _REGISTRY["scipy-splu"]
-
-
-def factorize(
-    matrix: csc_matrix,
-    spd: bool = False,
-    config: Optional[LinalgConfig] = None,
-) -> Factorization:
-    """Factorize ``matrix`` through the selected backend.
-
-    Args:
-        matrix: Square scipy sparse matrix (converted to CSC as needed).
-        spd: Declare the system symmetric positive definite, unlocking
-            Cholesky backends.
-        config: Configuration override; defaults to the live process config.
+def factorize(matrix: Any) -> Factorization:
+    """Factorize a square scipy sparse matrix (converted to CSC as needed).
 
     Raises:
-        LinalgError: On singular/failed factorization or a forced backend
-            that is unknown or unavailable.
+        LinalgError: On non-sparse or non-square input, or a singular or
+            otherwise failed factorization.
     """
-    backend = select_backend(matrix.shape[0], spd=spd, config=config)
-    with telemetry.span(
-        "linalg.factorize", nodes=matrix.shape[0], backend=backend.name
-    ):
+    if not hasattr(matrix, "tocsc"):
+        raise LinalgError(
+            f"expected a scipy sparse matrix, got {type(matrix).__name__}"
+        )
+    system = matrix.tocsc()
+    n = system.shape[0]
+    if n != system.shape[1]:
+        raise LinalgError(f"system matrix must be square, got {system.shape}")
+    with telemetry.span("linalg.factorize", nodes=n):
         with profiling.timer("linalg.factorize"):
-            factorization = backend.factorize(matrix)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", MatrixRankWarning)
+                    lu = splu(system)
+            except (
+                RuntimeError,
+                ValueError,
+                ArithmeticError,
+                MatrixRankWarning,
+            ) as exc:
+                raise LinalgError(f"SuperLU factorization failed: {exc}") from exc
     profiling.increment("linalg.factorizations")
-    profiling.increment(f"linalg.backend.{backend.name}")
-    return factorization
-
-
-register_backend(ScipySuperLUBackend())
-register_backend(UmfpackBackend())
-register_backend(CholmodBackend())
+    return Factorization(lu, n)

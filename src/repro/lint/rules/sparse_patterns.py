@@ -10,11 +10,10 @@ the memoized-LU path and a naive loop is the difference between the paper's
   ``diags``/``.tocsc()``/...) inside a ``for``/``while`` loop -- assemble
   once outside, or factor the loop body into a memoized helper.
 * Direct factorization (``splu``/``spilu``/``factorized``) anywhere outside
-  :mod:`repro.linalg` -- the backend registry is the single sanctioned
-  owner of raw factorizations; everything else calls
-  ``repro.linalg.factorize`` so backend selection, telemetry and the
-  incremental-update machinery stay in one place.  A module can opt in
-  (e.g. benchmark harnesses measuring raw backends) by declaring
+  :mod:`repro.linalg` -- its ``factorize`` front door is the single
+  sanctioned owner of raw factorizations, so the typed error contract and
+  the factorization counters and spans stay in one place.  A module can opt
+  in (e.g. a benchmark measuring raw SuperLU) by declaring
   ``repro-lint-scope: sparse-backend`` in its docstring.
 * ``splu`` inside a loop (flagged even inside the sanctioned modules), or
   ``spsolve`` anywhere -- repeated factorizations must go through a
@@ -50,9 +49,8 @@ _CONVERSION_METHODS = {"tocsc", "tocsr", "tocoo", "tolil", "todok"}
 
 _FACTORIZERS = {"splu", "spilu", "factorized"}
 
-#: The one module tree allowed to call raw factorizers: the pluggable
-#: solver-backend registry.  Everything else goes through its
-#: ``repro.linalg.factorize`` front door.
+#: The one module tree allowed to call raw factorizers.  Everything else
+#: goes through its ``repro.linalg.factorize`` front door.
 BACKEND_MODULE = "repro.linalg"
 
 
@@ -153,9 +151,10 @@ class SparsePatternsRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"{name}() outside repro.linalg bypasses the solver "
-                    f"backend registry; call repro.linalg.factorize (or "
-                    f"declare 'repro-lint-scope: sparse-backend')",
+                    f"{name}() outside repro.linalg bypasses the "
+                    f"factorization front door; call "
+                    f"repro.linalg.factorize (or declare "
+                    f"'repro-lint-scope: sparse-backend')",
                 )
             elif loop_depth > 0 and name in _FACTORIZERS:
                 yield self.finding(

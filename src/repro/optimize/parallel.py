@@ -66,7 +66,6 @@ from ..errors import (
 )
 from ..faults import SITE_PARALLEL_DISPATCH, SITE_PARALLEL_WORKER
 from ..iccad2015.cases import Case
-from ..linalg import LinalgConfig
 from ..networks.tree import TreePlan
 from ..telemetry import SIZE_BUCKET_BOUNDS, TelemetryConfig, runlog
 from .stages import METRIC_MIN_GRADIENT_CAPPED, StageConfig
@@ -99,14 +98,12 @@ def _init_worker(
     fixed_pressure,
     fault_plan=None,
     telemetry_config=None,
-    linalg_config=None,
 ) -> None:
     """Pool initializer: build this worker's evaluator exactly once.
 
-    Also re-arms the ambient fault plan, the parent's telemetry
-    configuration (tracing on/off, span capacity), and the parent's solver
-    configuration (backend choice, incremental updates), so respawned
-    workers behave identically to the ones they replaced.
+    Also re-arms the ambient fault plan and the parent's telemetry
+    configuration (tracing on/off, span capacity), so respawned workers
+    behave identically to the ones they replaced.
     """
     global _WORKER_EVALUATOR
     from .runner import _CandidateEvaluator
@@ -119,8 +116,6 @@ def _init_worker(
     # thread's lane (the service worker thread's); drop it so exported
     # spans group as a distinct pool-worker row, not the parent's.
     telemetry.set_thread_lane(None)
-    if linalg_config is not None:
-        linalg_config.apply()
     _WORKER_EVALUATOR = _CandidateEvaluator(
         case, plan, stage, problem, fixed_pressure
     )
@@ -230,9 +225,6 @@ class PersistentEvaluationPool:
         #: the parent therefore requires a new pool -- which the module
         #: cache key guarantees.
         self.telemetry_config = TelemetryConfig.current()
-        #: Solver configuration, captured and shipped the same way so worker
-        #: evaluations use the parent's backend/incremental settings.
-        self.linalg_config = LinalgConfig.current()
         self.n_workers = int(n_workers)
         self.timeout = float(timeout)
         self.max_retries = int(max_retries)
@@ -249,8 +241,7 @@ class PersistentEvaluationPool:
         self._executor = ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_init_worker,
-            initargs=self.context
-            + (self.fault_plan, self.telemetry_config, self.linalg_config),
+            initargs=self.context + (self.fault_plan, self.telemetry_config),
         )
 
     def evaluate(self, params_list: Sequence[np.ndarray]) -> List[float]:
@@ -509,10 +500,9 @@ def _cached_pool(
     # references to its context objects (via the key's _IdentityKey
     # wrappers), pinning them alive.  The pressure is quantized like every
     # other float cache key in the repo, so an epsilon-perturbed context
-    # reuses the warm pool.  The ambient fault plan (chaos runs), telemetry
-    # configuration and solver configuration join the key so a plan change
-    # -- or flipping tracing or incremental updates on/off -- never reuses
-    # workers armed with a stale setup.
+    # reuses the warm pool.  The ambient fault plan (chaos runs) and the
+    # telemetry configuration join the key so a plan change -- or flipping
+    # tracing on/off -- never reuses workers armed with a stale setup.
     fault_plan = faults.active_plan()
     quantized_pressure = (
         None if fixed_pressure is None else quantize_key(fixed_pressure)
@@ -526,7 +516,6 @@ def _cached_pool(
         n_workers,
         None if fault_plan is None else _IdentityKey(fault_plan),
         TelemetryConfig.current(),
-        LinalgConfig.current(),
     )
     pool = _pool_cache.get(key)
     if pool is not None and not pool.closed:

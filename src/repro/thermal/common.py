@@ -291,8 +291,15 @@ class _PressureShiftState:
         self.m = m
 
 
-#: Sentinel: the advection row rank exceeds the configured threshold, so
-#: the incremental pressure-shift path is permanently off for this system.
+#: Largest advected-row count (the Woodbury rank) for which the
+#: pressure-shift path is built; above it every probe refactorizes exactly.
+SHIFT_RANK_THRESHOLD = 96  #: [unit: 1]
+#: Relative residual an incremental solve must meet on the true operator,
+#: else it is discarded in favor of an exact solve.
+SHIFT_RESIDUAL_RTOL = 1e-8  #: [unit: 1]
+
+#: Sentinel: the advection row rank exceeds :data:`SHIFT_RANK_THRESHOLD`,
+#: so the incremental pressure-shift path is permanently off for this system.
 _SHIFT_DISABLED = object()
 
 
@@ -309,13 +316,14 @@ class LinearThermalSystem:
     PRESSURE_KEY_DECIMALS`), so re-solving at a pressure the searches already
     probed only pays the cheap triangular sweeps.
 
-    Incremental solves: when :class:`~repro.linalg.LinalgConfig` enables
-    them (the default), pressure probes after the first are answered through
-    the Woodbury pressure-shift path (see :class:`_PressureShiftState`)
-    instead of refactorizing, guarded by a relative-residual check that
-    falls back to the exact path on any doubt.  ``solve(..., exact=True)``
-    bypasses the incremental path entirely -- final scoring uses it so
-    results are bitwise identical with incremental updates on or off.
+    Incremental solves: when the advected-row count fits
+    :data:`SHIFT_RANK_THRESHOLD`, pressure probes after the first are
+    answered through the Woodbury pressure-shift path (see
+    :class:`_PressureShiftState`) instead of refactorizing, guarded by a
+    relative-residual check (:data:`SHIFT_RESIDUAL_RTOL`) that falls back to
+    the exact path on any doubt.  ``solve(..., exact=True)`` bypasses the
+    incremental path entirely -- final scoring uses it so results are
+    bitwise identical whether or not a probe went through the shift path.
     """
 
     #: Factorizations retained per system (the pressure searches probe a few
@@ -436,19 +444,16 @@ class LinearThermalSystem:
         """A Woodbury solve at ``p_sys``, or ``None`` to use the exact path.
 
         Applicable once a base factorization exists and the advection
-        operator's row rank fits the configured threshold.  The result is
+        operator's row rank fits :data:`SHIFT_RANK_THRESHOLD`.  The result is
         accepted only if its relative residual on the *true* operator at
-        ``p_sys`` meets ``residual_rtol``; otherwise the caller refactorizes
-        exactly (and the fallback is counted).
+        ``p_sys`` meets :data:`SHIFT_RESIDUAL_RTOL`; otherwise the caller
+        refactorizes exactly (and the fallback is counted).
         """
-        config = linalg.current_config()
-        if not config.incremental:
-            return None
         shift = self._shift
         if shift is None:
             if self._base_key is None:
                 return None  # first solve establishes the exact base
-            shift = self._build_shift(config)
+            shift = self._build_shift()
         if shift is _SHIFT_DISABLED:
             return None
         rhs = self.rhs_static + p_sys * self.rhs_advection
@@ -470,19 +475,19 @@ class LinearThermalSystem:
         scale = max(float(np.max(np.abs(rhs))), 1.0)
         if (
             not np.all(np.isfinite(x))
-            or float(np.max(np.abs(residual))) > config.residual_rtol * scale
+            or float(np.max(np.abs(residual))) > SHIFT_RESIDUAL_RTOL * scale
         ):
             profiling.increment("linalg.incremental_fallbacks")
             return None
         profiling.increment("linalg.incremental_solves")
         return corrupt(SITE_LINALG_UPDATE, x)
 
-    def _build_shift(self, config: "linalg.LinalgConfig") -> Any:
+    def _build_shift(self) -> Any:
         """Build (or permanently disable) the pressure-shift state."""
         advection = self.advection.tocoo()
         mask = advection.data != 0.0
         rows = np.unique(advection.row[mask])
-        if rows.size > config.rank_threshold:
+        if rows.size > SHIFT_RANK_THRESHOLD:
             self._shift = _SHIFT_DISABLED
             return self._shift
         base_key = self._base_key

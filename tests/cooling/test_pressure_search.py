@@ -157,6 +157,18 @@ class TestPeakSearch:
         )
         assert not result.feasible
 
+    def test_crossing_past_last_doubling_is_bisected(self):
+        # Doubling from 1e3 Pa probes 1.28e5 (hot) then would step to
+        # 2.56e5 > p_max = 2e5; the crossing at 1.6e5 lies inside the
+        # clamped bracket [1.28e5, 2e5] and must be bisected, not rounded
+        # up to p_max (which costs ~56% more pumping power).
+        def h(p):
+            return 400.0 - 100.0 * min(p / 1.6e5, 1.5)
+
+        result = min_pressure_for_peak(h, t_max_star=300.0, p_lo=1e3)
+        assert result.feasible
+        assert result.p_sys == pytest.approx(1.6e5, rel=5e-3)
+
     def test_evaluations_counted(self):
         h = self._h()
         result = min_pressure_for_peak(h, t_max_star=320.0, p_lo=1e2)

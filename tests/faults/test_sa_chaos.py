@@ -16,10 +16,11 @@ from repro.faults import (
     FaultSpec,
     SITE_PARALLEL_WORKER,
 )
-from repro.linalg import use_config
 from repro.iccad2015 import load_case
 from repro.optimize import optimize_problem1
+from repro.optimize.parallel import shutdown_pools
 from repro.optimize.stages import METRIC_LOWEST_FEASIBLE_POWER, StageConfig
+from repro.thermal.common import LinearThermalSystem
 
 WATCHDOG = 300.0
 
@@ -74,22 +75,36 @@ def test_sa_survives_30pct_worker_deaths(watchdog, case):
     )
 
 
-def test_sa_incremental_updates_are_bitwise_invisible(watchdog, case):
+def test_sa_incremental_updates_are_bitwise_invisible(
+    watchdog, case, monkeypatch
+):
     """Incremental solver updates never change what the SA flow returns.
 
-    The acceptance bar of the incremental-solver tentpole: the staged flow
-    with Woodbury pressure-shift solves enabled (the default) must return
-    the *same* design with a bit-identical score as a run forced through
-    fresh factorizations -- and keep doing so while 30% of worker
-    candidates kill their process, because respawned workers re-arm the
-    parent's solver configuration.
+    The staged flow with Woodbury pressure-shift solves (the production
+    path) must return the *same* design with a bit-identical score as a
+    run forced through fresh factorizations -- and keep doing so while 30%
+    of worker candidates kill their process.
     """
-    with watchdog(WATCHDOG), use_config(incremental=False):
+    # Cached pools are keyed without solver state: close them so the exact
+    # run forks fresh workers that inherit the patch, and close those again
+    # so no later run reuses them.
+    shutdown_pools()
+    profiling.reset()
+    with watchdog(WATCHDOG), monkeypatch.context() as patch:
+        patch.setattr(
+            LinearThermalSystem, "_solve_incremental", lambda self, p_sys: None
+        )
         exact = run_sa(case)
+        shutdown_pools()
     assert exact.evaluation is not None
+    counters = profiling.snapshot()["counters"]
+    assert counters.get("linalg.incremental_solves", 0) == 0
 
+    profiling.reset()
     with watchdog(WATCHDOG):
         incremental = run_sa(case)
+    counters = profiling.snapshot()["counters"]
+    assert counters.get("linalg.incremental_solves", 0) > 0
     assert incremental.evaluation.score == exact.evaluation.score
     assert incremental.evaluation.feasible == exact.evaluation.feasible
     assert incremental.direction == exact.direction

@@ -1,13 +1,12 @@
-"""Differential parity: every registered backend vs a fresh-splu reference.
+"""Differential parity: the SuperLU front door vs a fresh-splu reference.
 
-The solver registry is only trustworthy if every backend -- whatever
-SuiteSparse libraries happen to be installed -- returns the *same* answer.
 Each property test draws a randomized well-conditioned conductance system
 (graph Laplacian plus positive grounding, the shape every matrix in this
-repo has), solves it through each available backend, and demands agreement
-with a freshly computed ``scipy.sparse.linalg.splu`` reference to 1e-10
-relative.  Degenerate (exactly singular) systems must raise the typed
-:class:`~repro.errors.LinalgError` on every backend, never return garbage.
+repo has), solves it through :func:`repro.linalg.factorize`, and demands
+agreement with a freshly computed ``scipy.sparse.linalg.splu`` reference to
+1e-10 relative.  Degenerate (exactly singular) systems, non-square and
+non-sparse input must raise the typed :class:`~repro.errors.LinalgError`,
+never return garbage.
 """
 
 from __future__ import annotations
@@ -20,17 +19,7 @@ from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from repro.errors import LinalgError
-from repro.linalg import (
-    BACKEND_ENV_VAR,
-    LinalgConfig,
-    UMFPACK_MIN_NODES,
-    available_backends,
-    factorize,
-    get_backend,
-    registered_backends,
-    select_backend,
-    use_config,
-)
+from repro.linalg import factorize
 
 PARITY_RTOL = 1e-10
 
@@ -73,28 +62,25 @@ def assert_parity(x: np.ndarray, ref: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-backend differential parity
+# Differential parity of factorize()
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", available_backends())
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60))
-def test_backend_matches_fresh_splu(name, seed, n):
+def test_factorize_matches_fresh_splu(seed, n):
     matrix, rhs = random_conductance_system(seed, n)
-    # These systems are SPD by construction, so spd_only backends are fine.
-    factor = get_backend(name).factorize(matrix)
+    factor = factorize(matrix)
     assert_parity(factor.solve(rhs), reference_solution(matrix, rhs))
 
 
-@pytest.mark.parametrize("name", available_backends())
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40), k=st.integers(1, 6))
-def test_backend_multi_rhs_matches_columnwise(name, seed, n, k):
+def test_factorize_multi_rhs_matches_columnwise(seed, n, k):
     matrix, _ = random_conductance_system(seed, n)
     rng = np.random.default_rng(seed ^ 0xA5A5A5)
     block = rng.uniform(-1.0, 1.0, size=(n, k))
-    factor = get_backend(name).factorize(matrix)
+    factor = factorize(matrix)
     got = factor.solve_many(block)
     assert got.shape == (n, k)
     lu = splu(matrix.tocsc())
@@ -102,8 +88,7 @@ def test_backend_multi_rhs_matches_columnwise(name, seed, n, k):
         assert_parity(got[:, col], lu.solve(block[:, col]))
 
 
-@pytest.mark.parametrize("name", available_backends())
-def test_backend_rejects_singular_system(name):
+def test_factorize_rejects_singular_system():
     # A pure Laplacian (no grounding) has the constant vector in its null
     # space: exactly singular.
     n = 12
@@ -113,92 +98,21 @@ def test_backend_rejects_singular_system(name):
     ones = np.ones(n - 1)
     vals = np.concatenate([ones, ones, -ones, -ones])
     singular = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-    backend = get_backend(name)
     with pytest.raises(LinalgError):
-        factor = backend.factorize(singular)
-        # Some factorizations only notice singularity at solve time.
-        result = factor.solve(np.ones(n))
-        if not np.all(np.isfinite(result)):
-            raise LinalgError("singular solve returned non-finite values")
+        factorize(singular)
 
 
-@pytest.mark.parametrize("name", available_backends())
-def test_backend_one_dimensional_rhs_passthrough(name):
+def test_factorize_one_dimensional_rhs_passthrough():
     matrix, rhs = random_conductance_system(7, 15)
-    factor = get_backend(name).factorize(matrix)
+    factor = factorize(matrix)
     via_many = factor.solve_many(rhs)
     assert via_many.shape == (15,)
     assert_parity(via_many, factor.solve(rhs))
 
 
-# ---------------------------------------------------------------------------
-# Registry selection and the factorize() front door
-# ---------------------------------------------------------------------------
-
-
-def test_registry_registers_all_three_backends():
-    assert registered_backends() == ["scipy-splu", "umfpack", "cholmod"]
-    assert "scipy-splu" in available_backends()
-
-
-def test_auto_selection_small_general_system_is_superlu():
-    assert select_backend(10).name == "scipy-splu"
-
-
-def test_auto_selection_prefers_umfpack_for_large_systems():
-    selected = select_backend(UMFPACK_MIN_NODES)
-    if "umfpack" in available_backends():
-        assert selected.name == "umfpack"
-    else:
-        assert selected.name == "scipy-splu"
-
-
-def test_auto_selection_prefers_cholmod_for_spd_systems():
-    selected = select_backend(10, spd=True)
-    if "cholmod" in available_backends():
-        assert selected.name == "cholmod"
-    else:
-        assert selected.name == "scipy-splu"
-
-
-def test_forced_unknown_backend_is_hard_error():
-    with use_config(backend="no-such-backend"):
-        with pytest.raises(LinalgError, match="unknown solver backend"):
-            select_backend(10)
-
-
-def test_forced_unavailable_backend_is_hard_error():
-    unavailable = [
-        name for name in registered_backends()
-        if name not in available_backends()
-    ]
-    if not unavailable:
-        pytest.skip("every optional backend is installed here")
-    with use_config(backend=unavailable[0]):
-        with pytest.raises(LinalgError, match="not installed"):
-            select_backend(10)
-
-
-def test_env_var_forces_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "scipy-splu")
-    assert select_backend(UMFPACK_MIN_NODES).name == "scipy-splu"
-
-
-def test_env_var_unknown_backend_is_hard_error(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-    with pytest.raises(LinalgError, match="unknown solver backend"):
-        select_backend(10)
-
-
-def test_config_backend_beats_env_var(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-    with use_config(backend="scipy-splu"):
-        assert select_backend(10).name == "scipy-splu"
-
-
 def test_factorize_front_door_parity():
     matrix, rhs = random_conductance_system(3, 30)
-    factor = factorize(matrix, spd=True)
+    factor = factorize(matrix)
     assert_parity(factor.solve(rhs), reference_solution(matrix, rhs))
 
 
@@ -211,34 +125,3 @@ def test_factorize_rejects_non_square_input():
     matrix = csc_matrix(np.ones((3, 4)))
     with pytest.raises(LinalgError, match="square"):
         factorize(matrix)
-
-
-# ---------------------------------------------------------------------------
-# Configuration plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_config_validation_rejects_bad_knobs():
-    with pytest.raises(LinalgError):
-        LinalgConfig(rank_threshold=0)
-    with pytest.raises(LinalgError):
-        LinalgConfig(update_budget=0)
-    with pytest.raises(LinalgError):
-        LinalgConfig(residual_rtol=0.0)
-
-
-def test_use_config_restores_previous_state():
-    before = LinalgConfig.current()
-    with use_config(incremental=False, rank_threshold=7) as active:
-        assert LinalgConfig.current() is active
-        assert not active.incremental
-        assert active.rank_threshold == 7
-    assert LinalgConfig.current() is before
-
-
-def test_config_is_hashable_and_picklable():
-    import pickle
-
-    config = LinalgConfig(backend="scipy-splu", rank_threshold=8)
-    assert hash(config) == hash(LinalgConfig(backend="scipy-splu", rank_threshold=8))
-    assert pickle.loads(pickle.dumps(config)) == config

@@ -1,12 +1,12 @@
-"""Benchmark-regression gate on the committed solver-backends artifact.
+"""Benchmark-regression gate on the committed pressure-shift artifact.
 
-``benchmarks/out/BENCH_solver_backends.json`` is (re)generated by::
+``benchmarks/out/BENCH_pressure_shift.json`` is (re)generated by::
 
-    python benchmarks/harness.py --bench solver_backends --grid 42 --json
+    python benchmarks/harness.py --bench pressure_shift --json
 
 and committed.  These tests fail whenever a regenerated artifact shows the
-incremental paths no longer paying for themselves -- the tentpole's
-acceptance bar -- or silently losing parity with fresh factorizations.
+pressure-shift path no longer paying for itself at the scale production
+runs it, or silently losing parity with exact factorizations.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ ARTIFACT = (
     Path(__file__).resolve().parents[2]
     / "benchmarks"
     / "out"
-    / "BENCH_solver_backends.json"
+    / "BENCH_pressure_shift.json"
 )
-
-#: Acceptance bar for local SA moves: incremental updates must beat fresh
-#: factorization by at least this factor at the median.
-REQUIRED_SA_SPEEDUP = 3.0
 
 #: Differential parity bound mirrored from the tests/linalg property suite.
 PARITY_RTOL = 1e-10
@@ -35,23 +31,15 @@ PARITY_RTOL = 1e-10
 def artifact():
     assert ARTIFACT.is_file(), (
         f"missing {ARTIFACT}; regenerate with "
-        f"'python benchmarks/harness.py --bench solver_backends --grid 42 "
-        f"--json'"
+        f"'python benchmarks/harness.py --bench pressure_shift --json'"
     )
     with ARTIFACT.open() as fh:
         return json.load(fh)
 
 
 def test_artifact_identifies_itself(artifact):
-    assert artifact["benchmark"] == "solver_backends"
+    assert artifact["benchmark"] == "pressure_shift"
     assert artifact["config"]["n_nodes"] > 0
-    assert "scipy-splu" in artifact["config"]["available_backends"]
-
-
-def test_incremental_sa_moves_beat_fresh_factorization(artifact):
-    moves = artifact["sa_moves"]
-    assert moves["incremental"]["p50_ms"] < moves["fresh"]["p50_ms"]
-    assert moves["speedup_p50"] >= REQUIRED_SA_SPEEDUP
 
 
 def test_pressure_shift_beats_exact_refactorization(artifact):
@@ -60,15 +48,4 @@ def test_pressure_shift_beats_exact_refactorization(artifact):
 
 
 def test_recorded_parity_is_within_bounds(artifact):
-    assert artifact["sa_moves"]["parity_max_err"] <= PARITY_RTOL
     assert artifact["pressure_sweep"]["parity_max_err"] <= PARITY_RTOL
-    for name, stats in artifact["backends"].items():
-        assert stats["parity_max_err"] <= PARITY_RTOL, name
-
-
-def test_every_backend_recorded_full_latency_summaries(artifact):
-    for name, stats in artifact["backends"].items():
-        for section in ("factorize", "solve", "solve_many"):
-            summary = stats[section]
-            assert summary["n"] > 0, (name, section)
-            assert 0 < summary["p50_ms"] <= summary["p99_ms"], (name, section)

@@ -1,4 +1,4 @@
-"""Fixture: R5-clean module -- registry factorization, hoisted assembly."""
+"""Fixture: R5-clean module -- front-door factorization, hoisted assembly."""
 
 from scipy.sparse import csr_matrix
 
