@@ -26,15 +26,10 @@ from ..errors import LinalgError
 
 
 class Factorization:
-    """A reusable SuperLU factorization of one sparse system matrix.
+    """A reusable SuperLU factorization of one sparse system matrix."""
 
-    Attributes:
-        n: System dimension.
-    """
-
-    def __init__(self, lu: Any, n: int) -> None:
+    def __init__(self, lu: Any) -> None:
         self._lu = lu
-        self.n = n
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` for one right-hand side, shape ``(n,)``."""
@@ -77,4 +72,4 @@ def factorize(matrix: Any) -> Factorization:
             ) as exc:
                 raise LinalgError(f"SuperLU factorization failed: {exc}") from exc
     profiling.increment("linalg.factorizations")
-    return Factorization(lu, n)
+    return Factorization(lu)

@@ -23,7 +23,6 @@ from repro.geometry import build_contest_stack
 from repro.materials import WATER
 from repro.networks import serpentine_network
 from repro.thermal import common
-from repro.thermal.common import LinearThermalSystem
 from repro.thermal.rc2 import RC2Simulator
 
 PARITY_RTOL = 1e-10
@@ -47,7 +46,9 @@ def simulator():
 def disable_shift_path(monkeypatch) -> None:
     """Route every solve through the exact path."""
     monkeypatch.setattr(
-        LinearThermalSystem, "_solve_incremental", lambda self, p_sys: None
+        common.LinearThermalSystem,
+        "_solve_incremental",
+        lambda self, p_sys: None,
     )
 
 
