@@ -4,8 +4,8 @@ Every span, counter, timer, histogram, and run-event name must be a
 dot-namespaced **string literal** declared once in the registry module
 :mod:`repro.telemetry.names`.  A dynamic or undeclared name silently forks
 the metric namespace: dashboards and the run-log analyzer group by exact
-name, so ``"thermal.solves"`` vs ``"thermal.solve"`` (or a name built at
-runtime) splits one series into several that never line up.
+name, so ``"cooling.simulation"`` vs ``"cooling.simulations"`` (or a name
+built at runtime) splits one series into several that never line up.
 
 The rule inspects the first positional argument of the emitting calls:
 

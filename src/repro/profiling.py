@@ -1,7 +1,7 @@
 """Lightweight named counters, timers, and histograms for the hot paths.
 
-The solver-reuse layers (flow unit-solution cache, thermal factorization
-reuse, cooling-system result memoization) and the parallel SA evaluation all
+The solver-reuse layers (flow unit-solution cache, thermal pressure-shift
+path, cooling-system result memoization) and the parallel SA evaluation all
 report what they did through this module, so benchmarks can prove that an
 optimization actually removed work instead of guessing from wall clock alone:
 
@@ -11,8 +11,8 @@ optimization actually removed work instead of guessing from wall clock alone:
     ...  # run something
     print(profiling.snapshot())
     # {"counters": {"flow.unit_cache_hits": 12, ...},
-    #  "timers": {"thermal.factorize": {"count": 9, "seconds": 0.41}, ...},
-    #  "histograms": {"thermal.factorize": {"bounds": [...], ...}}}
+    #  "timers": {"linalg.factorize": {"count": 9, "seconds": 0.41}, ...},
+    #  "histograms": {"linalg.factorize": {"bounds": [...], ...}}}
 
 Beyond sum-only timers, every :meth:`Profiler.timer` block also feeds a
 fixed-bucket :class:`Histogram`, so snapshots carry latency *distributions*
@@ -38,11 +38,10 @@ Well-known names (see ``docs/SOLVER_CACHES.md`` for the cache semantics):
 =============================  =============================================
 ``flow.unit_solves``           sparse pressure systems assembled + factorized
 ``flow.unit_cache_hits``       :class:`~repro.flow.network.FlowField` reuses
-``thermal.factorizations``     ``splu`` calls on the thermal operator
-``thermal.lu_cache_hits``      thermal solves that reused a factorization
-``thermal.solves``             thermal linear solves (triangular sweeps)
+``thermal.factorizations``     exact factorizations of the thermal operator
 ``cooling.simulations``        distinct thermal simulations per network
 ``cooling.cache_hits``         pressure probes served from the result cache
+``cooling.exact_recomputes``   incremental answers recomputed exactly
 ``search.probes``              pressure-search objective evaluations
 ``parallel.pool_starts``       persistent worker pools created
 ``parallel.batches``           candidate batches dispatched

@@ -47,7 +47,6 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
         "parallel.retry",
         "parallel.timeout",
         "parallel.worker_lost",
-        "thermal.factorize",
         "thermal.rc2.solve",
         "thermal.rc4.solve",
         "thermal.solve",
@@ -103,10 +102,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "server.lease_reclaims",
         "server.orphaned_leases_cleared",
         "thermal.factorizations",
-        "thermal.factorize",
-        "thermal.lu_cache_hits",
         "thermal.solve",
-        "thermal.solves",
     }
 )
 

@@ -16,15 +16,14 @@ because all local flow rates do.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
 
 from .. import linalg, profiling, telemetry
-from ..constants import NUSSELT_NUMBER, quantize_key
+from ..constants import NUSSELT_NUMBER
 from ..errors import LinalgError, ThermalError
 from ..faults import SITE_LINALG_UPDATE, corrupt
 from ..flow.conductance import hydraulic_diameter
@@ -298,10 +297,6 @@ SHIFT_RANK_THRESHOLD = 96  #: [unit: 1]
 #: else it is discarded in favor of an exact solve.
 SHIFT_RESIDUAL_RTOL = 1e-8  #: [unit: 1]
 
-#: Sentinel: the advection row rank exceeds :data:`SHIFT_RANK_THRESHOLD`,
-#: so the incremental pressure-shift path is permanently off for this system.
-_SHIFT_DISABLED = object()
-
 
 class LinearThermalSystem:
     """Solves ``(K + P A) T = b0 + P b1`` for the node temperature vector.
@@ -311,24 +306,22 @@ class LinearThermalSystem:
 
     Solver reuse: on first use, ``K`` and ``A`` are aligned onto the union
     sparsity pattern once, so assembling the operator at a new pressure is a
-    single fused-data sum instead of a full sparse addition.  Factorizations
-    are memoized per quantized pressure (:data:`~repro.constants.
-    PRESSURE_KEY_DECIMALS`), so re-solving at a pressure the searches already
-    probed only pays the cheap triangular sweeps.
+    single fused-data sum instead of a full sparse addition.  The system
+    keeps no per-pressure state: results are memoized per pressure one level
+    up, by :class:`~repro.cooling.system.CoolingSystem`, which reads the
+    exactness each :meth:`solve` reports.
 
-    Incremental solves: when the advected-row count fits
-    :data:`SHIFT_RANK_THRESHOLD`, pressure probes after the first are
-    answered through the Woodbury pressure-shift path (see
-    :class:`_PressureShiftState`) instead of refactorizing, guarded by a
-    relative-residual check (:data:`SHIFT_RESIDUAL_RTOL`) that falls back to
-    the exact path on any doubt.  ``solve(..., exact=True)`` bypasses the
+    Incremental solves: the advected rows are counted once, at construction.
+    When the count fits :data:`SHIFT_RANK_THRESHOLD`, the first factorization
+    is kept as the Woodbury base and later pressure probes are answered
+    through the pressure-shift path (see :class:`_PressureShiftState`)
+    instead of refactorizing, guarded by a relative-residual check
+    (:data:`SHIFT_RESIDUAL_RTOL`) that falls back to the exact path on any
+    doubt.  Above the threshold the system is exact-only and keeps no
+    factorization after a solve.  ``solve(..., exact=True)`` bypasses the
     incremental path entirely -- final scoring uses it so results are
     bitwise identical whether or not a probe went through the shift path.
     """
-
-    #: Factorizations retained per system (the pressure searches probe a few
-    #: dozen distinct pressures; an LRU this size never thrashes on them).
-    LU_CACHE_SIZE = 32
 
     def __init__(
         self,
@@ -344,9 +337,12 @@ class LinearThermalSystem:
         self.n_nodes = stiffness.shape[0]
         self._k_aligned: Optional[csc_matrix] = None
         self._a_aligned: Optional[csc_matrix] = None
-        self._lu_cache: "OrderedDict[float, object]" = OrderedDict()
-        self._shift: Any = None
-        self._base_key: Optional[float] = None
+        coo = advection.tocoo()
+        self._advected_rows = np.unique(coo.row[coo.data != 0.0])
+        #: ``(p0, factor)``: the first factorization, kept as the Woodbury
+        #: base only while the advected rows fit the rank threshold.
+        self._base: Optional[Tuple[float, linalg.Factorization]] = None
+        self._shift: Optional[_PressureShiftState] = None
 
     # -- operator assembly with structure reuse -------------------------
 
@@ -382,81 +378,79 @@ class LinearThermalSystem:
             shape=(self.n_nodes, self.n_nodes),
         )
 
-    def _factorize(self, p_sys: float) -> Any:
-        """A (cached) LU factorization of the operator at ``p_sys``."""
-        key = quantize_key(p_sys)
-        lu = self._lu_cache.get(key)
-        if lu is not None:
-            self._lu_cache.move_to_end(key)
-            profiling.increment("thermal.lu_cache_hits")
-            return lu
-        with telemetry.span("thermal.factorize", nodes=self.n_nodes):
-            with profiling.timer("thermal.factorize"):
-                try:
-                    lu = linalg.factorize(self._operator(p_sys))
-                except LinalgError as exc:
-                    raise ThermalError(
-                        "thermal system is singular; some nodes may be "
-                        "thermally isolated from the coolant"
-                    ) from exc
+    def _factorize(self, p_sys: float) -> "linalg.Factorization":
+        """An exact LU factorization of the operator at ``p_sys``.
+
+        The first one is kept as the Woodbury base when the shift path
+        applies; no other factorization outlives its solve.
+        """
+        try:
+            lu = linalg.factorize(self._operator(p_sys))
+        except LinalgError as exc:
+            raise ThermalError(
+                "thermal system is singular; some nodes may be "
+                "thermally isolated from the coolant"
+            ) from exc
         profiling.increment("thermal.factorizations")
-        if self._base_key is None:
-            self._base_key = key
-        self._lu_cache[key] = lu
-        while len(self._lu_cache) > self.LU_CACHE_SIZE:
-            self._lu_cache.popitem(last=False)
+        if (
+            self._base is None
+            and self._advected_rows.size <= SHIFT_RANK_THRESHOLD
+        ):
+            self._base = (p_sys, lu)
         return lu
 
     # -- solves ----------------------------------------------------------
 
-    def solve(self, p_sys: float, exact: bool = False) -> np.ndarray:
+    def solve(
+        self, p_sys: float, exact: bool = False
+    ) -> Tuple[np.ndarray, bool]:
         """Node temperatures at one system pressure drop.
 
         Args:
             p_sys: System pressure drop in Pa (> 0).
             exact: Bypass the incremental pressure-shift path and solve
-                through a (cached) exact factorization.  Final scoring
-                passes ``True`` so results never depend on whether
-                incremental updates are enabled.
+                through an exact factorization.  Final scoring passes
+                ``True`` so results never depend on whether incremental
+                updates are enabled.
+
+        Returns:
+            ``(temperatures, exact)``: the node temperatures and whether
+            they came from an exact factorization (``False`` for a
+            Woodbury answer).
         """
         if p_sys <= 0:
             raise ThermalError(
                 f"system pressure must be positive for a steady solution, "
                 f"got {p_sys}"
             )
-        temperatures: Optional[np.ndarray] = None
-        if not exact and quantize_key(p_sys) not in self._lu_cache:
-            temperatures = self._solve_incremental(p_sys)
+        temperatures = None if exact else self._solve_incremental(p_sys)
+        is_exact = temperatures is None
         if temperatures is None:
             lu = self._factorize(p_sys)
-            rhs = self.rhs_static + p_sys * self.rhs_advection
             with telemetry.span("thermal.solve", nodes=self.n_nodes):
                 with profiling.timer("thermal.solve"):
-                    temperatures = lu.solve(rhs)
-            profiling.increment("thermal.solves")
+                    temperatures = lu.solve(self.rhs(p_sys))
         if not np.all(np.isfinite(temperatures)):
             raise ThermalError("thermal solve produced non-finite temperatures")
-        return temperatures
+        return temperatures, is_exact
 
     # -- incremental pressure-shift path ---------------------------------
 
     def _solve_incremental(self, p_sys: float) -> Optional[np.ndarray]:
         """A Woodbury solve at ``p_sys``, or ``None`` to use the exact path.
 
-        Applicable once a base factorization exists and the advection
-        operator's row rank fits :data:`SHIFT_RANK_THRESHOLD`.  The result is
-        accepted only if its relative residual on the *true* operator at
-        ``p_sys`` meets :data:`SHIFT_RESIDUAL_RTOL`; otherwise the caller
-        refactorizes exactly (and the fallback is counted).
+        Applicable once a base factorization was kept (the advected rows fit
+        :data:`SHIFT_RANK_THRESHOLD`).  The result is accepted only if its
+        relative residual on the *true* operator at ``p_sys`` meets
+        :data:`SHIFT_RESIDUAL_RTOL`; otherwise the caller refactorizes
+        exactly (and the fallback is counted).
         """
         shift = self._shift
         if shift is None:
-            if self._base_key is None:
-                return None  # first solve establishes the exact base
-            shift = self._build_shift()
-        if shift is _SHIFT_DISABLED:
-            return None
-        rhs = self.rhs_static + p_sys * self.rhs_advection
+            if self._base is None:
+                return None  # no base yet, or an exact-only system
+            shift = self._build_shift(*self._base)
+        rhs = self.rhs(p_sys)
         dp = p_sys - shift.p0
         with profiling.timer("linalg.incremental_solve"):
             y = shift.factor.solve(rhs)
@@ -482,33 +476,26 @@ class LinearThermalSystem:
         profiling.increment("linalg.incremental_solves")
         return corrupt(SITE_LINALG_UPDATE, x)
 
-    def _build_shift(self) -> Any:
-        """Build (or permanently disable) the pressure-shift state."""
-        advection = self.advection.tocoo()
-        mask = advection.data != 0.0
-        rows = np.unique(advection.row[mask])
-        if rows.size > SHIFT_RANK_THRESHOLD:
-            self._shift = _SHIFT_DISABLED
-            return self._shift
-        base_key = self._base_key
-        factor = self._lu_cache.get(base_key)
-        if factor is None:
-            factor = self._factorize(base_key)
+    def _build_shift(
+        self, p0: float, factor: "linalg.Factorization"
+    ) -> _PressureShiftState:
+        """Build the pressure-shift state around the base factorization."""
+        rows = self._advected_rows
+        vt = self.advection.tocsr()[rows, :]
         if rows.size:
-            vt = self.advection.tocsr()[rows, :]
             unit = np.zeros((self.n_nodes, rows.size))
             unit[rows, np.arange(rows.size)] = 1.0
             w = factor.solve_many(unit)
             m = np.asarray(vt @ w)
         else:
-            vt = self.advection.tocsr()[rows, :]
             w = np.zeros((self.n_nodes, 0))
             m = np.zeros((0, 0))
-        self._shift = _PressureShiftState(
-            p0=float(base_key), factor=factor, rows=rows, vt=vt, w=w, m=m
+        shift = _PressureShiftState(
+            p0=float(p0), factor=factor, rows=rows, vt=vt, w=w, m=m
         )
+        self._shift = shift
         profiling.increment("linalg.shift_bases")
-        return self._shift
+        return shift
 
     def system_matrix(self, p_sys: float) -> csc_matrix:
         """The assembled operator at ``p_sys`` (used by the transient solver)."""

@@ -490,17 +490,17 @@ class RC2Simulator:
     def solve(self, p_sys: float, exact: bool = False) -> ThermalResult:
         """Steady temperatures at system pressure drop ``p_sys`` (Pa).
 
-        ``exact=True`` bypasses the incremental solver path (final scoring).
+        ``exact=True`` bypasses the incremental solver path (final scoring);
+        the result's ``exact`` says which path answered.
         """
         with telemetry.span("thermal.rc2.solve", cells=self.n_nodes):
-            temperatures = corrupt(
-                SITE_THERMAL_RC2, self.system.solve(p_sys, exact=exact)
-            )
+            temperatures, is_exact = self.system.solve(p_sys, exact=exact)
+            temperatures = corrupt(SITE_THERMAL_RC2, temperatures)
             if not np.all(np.isfinite(temperatures)):
                 raise ThermalError(
                     "2RM solve produced non-finite temperatures"
                 )
-            return self._package(p_sys, temperatures)
+            return self._package(p_sys, temperatures, exact=is_exact)
 
     def node_capacitances(self) -> np.ndarray:
         """Heat capacity of every thermal node in J/K (transient extension)."""
@@ -537,7 +537,9 @@ class RC2Simulator:
                 )
         return caps
 
-    def _package(self, p_sys: float, temperatures: np.ndarray) -> ThermalResult:
+    def _package(
+        self, p_sys: float, temperatures: np.ndarray, exact: bool = True
+    ) -> ThermalResult:
         stack = self.stack
         fields = []
         liquid_fields = {}
@@ -574,6 +576,7 @@ class RC2Simulator:
             total_power=stack.total_power,
             liquid_fields=liquid_fields,
             coolant_heat_removed=removed,
+            exact=exact,
         )
 
 

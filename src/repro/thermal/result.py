@@ -37,6 +37,8 @@ class ThermalResult:
         liquid_fields: Coolant temperature per channel layer (NaN at solid
             cells), keyed by layer index.
         total_power: Heat injected by all source layers, W.
+        exact: Whether the temperatures came from an exact factorization
+            (``False`` for an incremental pressure-shift answer).
     """
 
     p_sys: float
@@ -51,6 +53,7 @@ class ThermalResult:
     #: Coolant enthalpy rise rate (W); equals total_power at a converged
     #: steady solution of an adiabatic stack.
     coolant_heat_removed: Optional[float] = None
+    exact: bool = True
 
     # ------------------------------------------------------------------
 

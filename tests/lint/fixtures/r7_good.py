@@ -5,7 +5,7 @@ from repro.telemetry import runlog, span
 
 
 def emit_registered_metrics(seconds, kind):
-    profiling.increment("thermal.solves")
+    profiling.increment("thermal.factorizations")
     profiling.add_time("flow.unit_solve", seconds)
     with profiling.timer("parallel.batch"):
         pass

@@ -232,7 +232,7 @@ class TestPersistentPool:
             fixed_pressure=FIXED_PRESSURE, n_workers=2,
         )
         assert profiling.counter("cooling.simulations") == 2
-        assert profiling.counter("thermal.solves") == 2
+        assert profiling.counter("thermal.factorizations") == 2
 
     def test_bad_pool_workers(self, case):
         plan = case.tree_plan()
