@@ -38,6 +38,8 @@ Well-known names (see ``docs/SOLVER_CACHES.md`` for the cache semantics):
 =============================  =============================================
 ``flow.unit_solves``           sparse pressure systems assembled + factorized
 ``flow.unit_cache_hits``       :class:`~repro.flow.network.FlowField` reuses
+``linalg.factorizations``      sparse LU factorizations (every caller)
+``linalg.lu_nnz``              stored entries of those LU factors (fill)
 ``thermal.factorizations``     exact factorizations of the thermal operator
 ``cooling.simulations``        distinct thermal simulations per network
 ``cooling.cache_hits``         pressure probes served from the result cache

@@ -71,6 +71,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "linalg.incremental_fallbacks",
         "linalg.incremental_solve",
         "linalg.incremental_solves",
+        "linalg.lu_nnz",
         "linalg.shift_bases",
         "optimize.batch_cache_hits",
         "optimize.candidate",
